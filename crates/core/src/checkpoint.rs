@@ -267,7 +267,10 @@ impl CheckpointStore {
     /// re-hashing here), so a part whose file already exists is skipped
     /// without being re-serialized. A store that shares chunks with the
     /// previous checkpoint only pays for the chunks that changed; an
-    /// identical store writes nothing but the manifest.
+    /// identical store writes nothing but the manifest. Once the new
+    /// manifest is written, parts it does not name (the superseded tail
+    /// chunk, an outgrown dictionary) are deleted, so the directory holds
+    /// one store's worth of parts rather than one per save.
     ///
     /// Returns the number of part files actually written.
     pub fn save_observations(&self, store: &ObservationStore) -> std::io::Result<usize> {
@@ -275,25 +278,37 @@ impl CheckpointStore {
         std::fs::create_dir_all(&dir)?;
         let manifest = store.manifest();
         let mut written = 0usize;
-        let dict_path = dir.join(format!("dict-{:016x}.bin", manifest.dict_hash));
-        if !dict_path.exists() {
-            std::fs::write(&dict_path, store.encode_dict())?;
+        let dict_name = dict_file(manifest.dict_hash);
+        if !dir.join(&dict_name).exists() {
+            std::fs::write(dir.join(&dict_name), store.encode_dict())?;
             written += 1;
         }
-        for (c, hash) in manifest.chunk_hashes.iter().enumerate() {
-            let chunk_path = dir.join(format!("chunk-{hash:016x}.bin"));
-            if !chunk_path.exists() {
-                std::fs::write(&chunk_path, store.encode_chunk(c))?;
+        let mut live: Vec<String> = manifest
+            .chunk_hashes
+            .iter()
+            .map(|&h| chunk_file(h))
+            .collect();
+        for (c, name) in live.iter().enumerate() {
+            if !dir.join(name).exists() {
+                std::fs::write(dir.join(name), store.encode_chunk(c))?;
                 written += 1;
             }
         }
-        // Manifest last: a crash mid-write leaves either the previous
-        // manifest (still valid — its parts are never deleted here) or
-        // none.
+        live.push(dict_name);
+        // Manifest before collection: a crash mid-write leaves either the
+        // previous manifest with all its parts or none, and a crash
+        // during collection only leaves orphans the next save removes.
         std::fs::write(
             dir.join("manifest.json"),
             serde_json::to_vec(&manifest).expect("manifest serializes"),
         )?;
+        for entry in std::fs::read_dir(&dir)? {
+            let name = entry?.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if name.ends_with(".bin") && !live.iter().any(|l| l == name) {
+                std::fs::remove_file(dir.join(name))?;
+            }
+        }
         Ok(written)
     }
 
@@ -307,11 +322,11 @@ impl CheckpointStore {
         let dir = self.observations_dir();
         let manifest: StoreManifest =
             serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).ok()?).ok()?;
-        let dict = std::fs::read(dir.join(format!("dict-{:016x}.bin", manifest.dict_hash))).ok()?;
+        let dict = std::fs::read(dir.join(dict_file(manifest.dict_hash))).ok()?;
         let chunks: Vec<Vec<u8>> = manifest
             .chunk_hashes
             .iter()
-            .map(|hash| std::fs::read(dir.join(format!("chunk-{hash:016x}.bin"))).ok())
+            .map(|&hash| std::fs::read(dir.join(chunk_file(hash))).ok())
             .collect::<Option<_>>()?;
         ObservationStore::from_parts(&manifest, &dict, &chunks).ok()
     }
@@ -343,6 +358,16 @@ impl CheckpointStore {
     }
 }
 
+/// File name of an observation checkpoint's dictionary part.
+fn dict_file(hash: u64) -> String {
+    format!("dict-{hash:016x}.bin")
+}
+
+/// File name of an observation checkpoint's chunk part.
+fn chunk_file(hash: u64) -> String {
+    format!("chunk-{hash:016x}.bin")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,19 +379,17 @@ mod tests {
         }
     }
 
-    fn store() -> CheckpointStore {
-        let dir = std::env::temp_dir().join(format!(
-            "retrodns-ckpt-unit-{}-{:p}",
-            std::process::id(),
-            &CHECKPOINT_FORMAT_VERSION
-        ));
+    /// A fresh store in a directory of its own: tests run in parallel.
+    fn store(test: &str) -> CheckpointStore {
+        let dir =
+            std::env::temp_dir().join(format!("retrodns-ckpt-unit-{}-{test}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointStore::open(dir).unwrap()
     }
 
     #[test]
     fn save_load_round_trip() {
-        let s = store();
+        let s = store("save_load_round_trip");
         s.save("maps", &fp(), &vec![1u32, 2, 3]).unwrap();
         let back: Vec<u32> = s.load("maps", &fp()).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
@@ -392,6 +415,27 @@ mod tests {
                 })
                 .collect()
         };
+        // The directory holds exactly the manifest plus the parts the
+        // manifest names: superseded parts are collected.
+        let files_of = |s: &CheckpointStore| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(s.observations_dir())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let named_by = |store: &ObservationStore| -> Vec<String> {
+            let manifest = store.manifest();
+            let mut names: Vec<String> = manifest
+                .chunk_hashes
+                .iter()
+                .map(|&h| chunk_file(h))
+                .chain([dict_file(manifest.dict_hash), "manifest.json".to_string()])
+                .collect();
+            names.sort();
+            names
+        };
         let dir = std::env::temp_dir().join(format!("retrodns-ckpt-obs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = CheckpointStore::open(dir).unwrap();
@@ -403,14 +447,21 @@ mod tests {
         // Identical store: nothing to write.
         assert_eq!(s.save_observations(&a).unwrap(), 0);
         assert_eq!(s.load_observations().unwrap(), a);
+        assert_eq!(files_of(&s), named_by(&a));
 
         // Grow the data: chunk 0 and the dictionary are unchanged (the
         // appended rows reuse existing domains/certs), so only the
-        // changed tail chunk and the new third chunk are written.
+        // changed tail chunk and the new third chunk are written, and
+        // the superseded half-full tail chunk is deleted.
         let b = ObservationStore::from_observations(&rows(2 * chunk + 100)).unwrap();
         assert_eq!(b.chunk_hashes()[0], a.chunk_hashes()[0]);
         assert_eq!(s.save_observations(&b).unwrap(), 2);
         assert_eq!(s.load_observations().unwrap(), b);
+        assert_eq!(files_of(&s), named_by(&b));
+        assert!(!s
+            .observations_dir()
+            .join(chunk_file(a.chunk_hashes()[1]))
+            .exists());
 
         // A damaged part is detected: the load refuses rather than
         // resuming from corrupt observations.
@@ -427,7 +478,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_invalidates() {
-        let s = store();
+        let s = store("fingerprint_mismatch_invalidates");
         s.save("maps", &fp(), &vec![1u32]).unwrap();
         let other = Fingerprint {
             config: 99,
@@ -450,7 +501,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_detected() {
-        let s = store();
+        let s = store("corrupt_payload_detected");
         s.save("maps", &fp(), &vec![1u32, 2, 3]).unwrap();
         let path = s.payload_path("maps");
         let mut bytes = std::fs::read(&path).unwrap();
@@ -465,7 +516,7 @@ mod tests {
 
     #[test]
     fn chain_stops_at_first_break() {
-        let s = store();
+        let s = store("chain_stops_at_first_break");
         s.save("maps", &fp(), &1u32).unwrap();
         s.save("classify", &fp(), &2u32).unwrap();
         // "shortlist" missing, "inspect" present: chain must stop at the
@@ -477,7 +528,7 @@ mod tests {
 
     #[test]
     fn clear_removes_all_stages() {
-        let mut s = store();
+        let mut s = store("clear_removes_all_stages");
         for stage in STAGE_NAMES {
             s.save(stage, &fp(), &0u32).unwrap();
         }

@@ -27,11 +27,17 @@
 //! consume. Deltas compose: replaying them over the week-0 report
 //! reconstructs the final report exactly.
 //!
-//! Persistence reuses the checkpoint/manifest layer: the kept-row
+//! Persistence stores only what cannot be re-derived. The kept-row
 //! observation log is saved through the content-addressed store
 //! manifest (only changed tail chunks rewrite, see
-//! [`ObservationStore::append`]) and the analyzer state is one extra
-//! checkpoint stage whose inputs-fingerprint *is* the log's, so a
+//! [`ObservationStore::append`]). A small envelope — the quarantine
+//! histogram, the week count, the last scan date and the current
+//! [`Report`] — is one extra checkpoint stage whose inputs-fingerprint
+//! *is* the log's. The maps and patterns are pure functions of the log,
+//! so resume rebuilds them from the hash-verified log instead of reading
+//! them back: under the stream discipline, [`MapBuilder::append_scan`]
+//! week by week equals [`MapBuilder::build_store`] over the appended log
+//! (`tests/streaming_equivalence.rs` pins this on full map vectors). A
 //! killed analyzer resumes mid-stream if and only if the state on disk
 //! provably matches the logged stream and configuration.
 
@@ -178,12 +184,13 @@ impl WeekDelta {
     }
 }
 
-/// Serialized analyzer state (everything except the observation log,
-/// which persists through the content-addressed store manifest).
+/// Serialized analyzer state: what [`IncrementalAnalyzer::resume`]
+/// cannot recompute from the observation log (which persists through
+/// the content-addressed store manifest). An envelope that also carries
+/// `maps` and `patterns`, as older checkpoints do, still loads: the
+/// derive ignores fields it does not name.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct IncrementalState {
-    maps: Vec<DeploymentMap>,
-    patterns: Vec<Pattern>,
     quarantined: BTreeMap<String, usize>,
     weeks: u32,
     last_date: Option<Day>,
@@ -339,9 +346,11 @@ impl IncrementalAnalyzer {
 
     /// Persist the analyzer into `store`: the kept-row observation log
     /// through the content-addressed manifest (unchanged chunks are
-    /// skipped — the weekly delta writes O(batch) bytes) and the
-    /// analyzer state as the [`INCREMENTAL_STAGE`] checkpoint, bound to
-    /// the configuration and the log's fingerprint.
+    /// skipped, superseded ones deleted) and the envelope of state the
+    /// log cannot reproduce — quarantine histogram, week count, last
+    /// date and report — as the [`INCREMENTAL_STAGE`] checkpoint, bound
+    /// to the configuration and the log's fingerprint. Maps and patterns
+    /// are not written; [`resume`](Self::resume) re-derives them.
     pub fn checkpoint(&self, store: &CheckpointStore) -> std::io::Result<()> {
         store.save_observations(&self.log)?;
         let fp = Fingerprint {
@@ -349,8 +358,6 @@ impl IncrementalAnalyzer {
             inputs: self.log.fingerprint(),
         };
         let state = IncrementalState {
-            maps: self.maps.clone(),
-            patterns: self.patterns.clone(),
             quarantined: self.quarantined.clone(),
             weeks: self.weeks,
             last_date: self.last_date,
@@ -364,6 +371,11 @@ impl IncrementalAnalyzer {
     /// log (content hashes fail), or a state checkpoint that does not
     /// match this `config` and the logged stream — callers then start
     /// from [`new`](Self::new) and re-ingest.
+    ///
+    /// The maps are rebuilt from the verified log with
+    /// [`MapBuilder::build_store`] at `config.workers`, and the patterns
+    /// are re-classified from them; under the stream discipline this is
+    /// exactly the state week-by-week ingestion had built.
     pub fn resume(config: PipelineConfig, store: &CheckpointStore) -> Option<IncrementalAnalyzer> {
         let log = store.load_observations()?;
         let fp = Fingerprint {
@@ -372,8 +384,10 @@ impl IncrementalAnalyzer {
         };
         let state: IncrementalState = store.load(INCREMENTAL_STAGE, &fp).ok()?;
         let mut analyzer = IncrementalAnalyzer::new(config);
-        analyzer.maps = state.maps;
-        analyzer.patterns = state.patterns;
+        analyzer.maps = analyzer
+            .builder
+            .build_store(&log, analyzer.pipeline.config.workers);
+        analyzer.patterns = analyzer.pipeline.classify_maps(&analyzer.maps);
         analyzer.quarantined = state.quarantined;
         analyzer.weeks = state.weeks;
         analyzer.last_date = state.last_date;

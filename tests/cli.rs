@@ -9,14 +9,26 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_retrodns"))
 }
 
-/// The `experiments` binary (package `retrodns-bench`) lands in the same
-/// target directory as `retrodns`; `CARGO_BIN_EXE_*` only covers bins of
-/// the package under test, so locate it relative to ours. Workspace-wide
-/// `cargo test` builds every member's bins before running any test.
+/// The `experiments` binary (package `retrodns-bench`). `CARGO_BIN_EXE_*`
+/// only covers bins of the package under test, so build it here with the
+/// cargo running the tests. It goes into a target directory of its own:
+/// the cargo running the tests may still hold the lock on the main one.
 fn experiments_exe() -> PathBuf {
-    Path::new(env!("CARGO_BIN_EXE_retrodns"))
-        .parent()
-        .expect("bin dir")
+    let target = Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiments-build");
+    let out = Command::new(env!("CARGO"))
+        .args(["build", "--offline", "--quiet", "--bin", "experiments"])
+        .args(["-p", "retrodns-bench", "--manifest-path"])
+        .arg(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
+        .env("CARGO_TARGET_DIR", &target)
+        .output()
+        .expect("run cargo build");
+    assert!(
+        out.status.success(),
+        "building the experiments binary failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    target
+        .join("debug")
         .join(format!("experiments{}", std::env::consts::EXE_SUFFIX))
 }
 
@@ -196,7 +208,7 @@ fn experiments_bench_emits_schema_valid_json() {
     let exe = experiments_exe();
     assert!(
         exe.exists(),
-        "experiments binary not built at {} — run via workspace `cargo test`",
+        "experiments binary not built at {}",
         exe.display()
     );
     let dir = temp_dir("bench");

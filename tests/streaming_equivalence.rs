@@ -4,18 +4,25 @@
 //! count, with or without killing and resuming the analyzer from
 //! checkpoints between weeks — and the per-week [`WeekDelta`]s must
 //! compose back into the final report without losing or duplicating a
-//! verdict change.
+//! verdict change. Resume rebuilds the maps from the checkpointed log, so
+//! the map-level invariant it rests on — appending week by week equals
+//! building over the appended log — is pinned here too.
 
 mod common;
 
 use common::{week_slices, world_up_to_week, InputsBuilder};
 use proptest::prelude::*;
-use retrodns::core::checkpoint::CheckpointStore;
-use retrodns::core::incremental::{IncrementalAnalyzer, WeekDelta};
-use retrodns::core::pipeline::{Pipeline, PipelineConfig, Report};
+use retrodns::core::checkpoint::{config_fingerprint, CheckpointStore, Fingerprint};
+use retrodns::core::classify::{classify, Pattern};
+use retrodns::core::incremental::{IncrementalAnalyzer, WeekDelta, INCREMENTAL_STAGE};
+use retrodns::core::map::{DeploymentMap, MapBuilder};
+use retrodns::core::pipeline::{quarantine, AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::scan::DomainObservation;
 use retrodns::sim::World;
-use retrodns::store::RowsView;
+use retrodns::store::{DictCodes, ObservationStore, RowsView, StoreBuilder};
+use retrodns::types::Day;
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Worker counts the byte-identity contract is pinned at.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -47,6 +54,34 @@ fn stream_weeks(
         .map(|week| analyzer.ingest_week(week, &inputs))
         .collect();
     (analyzer.report().clone(), deltas)
+}
+
+/// A map builder configured the way the analyzer configures its own.
+fn builder_for(config: &PipelineConfig) -> MapBuilder {
+    let mut builder = MapBuilder::new(config.window.clone());
+    builder.link_gap_scans = config.link_gap_scans;
+    builder
+}
+
+/// Replay `weeks` the way `IncrementalAnalyzer::ingest_week` does:
+/// quarantine each batch, append the kept rows to the observation log
+/// and merge them into the maps. Returns the log and the appended maps.
+fn appended_log_and_maps(
+    config: &PipelineConfig,
+    weeks: &[Vec<DomainObservation>],
+    inputs: &AnalystInputs,
+) -> (ObservationStore, Vec<DeploymentMap>) {
+    let builder = builder_for(config);
+    let mut log = StoreBuilder::new().finish();
+    let mut codes = DictCodes::default();
+    let mut maps = Vec::new();
+    for week in weeks {
+        let (kept, _) = quarantine(week, &config.window, inputs.certs);
+        log.append_with_codes(&kept, &mut codes)
+            .expect("kept dates fit the log");
+        builder.append_scan(&mut maps, &kept);
+    }
+    (log, maps)
 }
 
 #[test]
@@ -144,6 +179,87 @@ fn week_deltas_compose_into_the_final_report() {
     );
 }
 
+/// The analyzer's checkpoint envelope as it was written before maps and
+/// patterns were dropped from it: the same fields plus both vectors.
+#[derive(Serialize)]
+struct LegacyState {
+    maps: Vec<DeploymentMap>,
+    patterns: Vec<Pattern>,
+    quarantined: BTreeMap<String, usize>,
+    weeks: u32,
+    last_date: Option<Day>,
+    report: Report,
+}
+
+/// The fields the current envelope carries.
+#[derive(Deserialize)]
+struct Envelope {
+    quarantined: BTreeMap<String, usize>,
+    weeks: u32,
+    last_date: Option<Day>,
+    report: Report,
+}
+
+#[test]
+fn checkpoints_in_the_old_layout_still_resume() {
+    let (world, observations) = world_up_to_week(101, 130);
+    let view = RowsView(&observations);
+    let inputs = InputsBuilder::new(&world, &view).build();
+    let config = config_for(&world, 2);
+    let batch = report_json(&Pipeline::new(config.clone()).run(&inputs));
+    let weeks = week_slices(&observations);
+    let split = weeks.len() / 2;
+
+    let dir = std::env::temp_dir().join(format!("retrodns-stream-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("open checkpoint dir");
+    let mut analyzer = IncrementalAnalyzer::new(config.clone());
+    for week in &weeks[..split] {
+        analyzer.ingest_week(week, &inputs);
+    }
+    analyzer.checkpoint(&store).expect("checkpoint write");
+
+    // Re-save the state stage in the old layout, under the fingerprint
+    // the current code binds it to.
+    let log = store.load_observations().expect("log loads");
+    let fp = Fingerprint {
+        config: config_fingerprint(&config),
+        inputs: log.fingerprint(),
+    };
+    let payload = std::fs::read(store.payload_path(INCREMENTAL_STAGE)).expect("stage payload");
+    let envelope: Envelope = serde_json::from_slice(&payload).expect("envelope parses");
+    let (_, maps) = appended_log_and_maps(&config, &weeks[..split], &inputs);
+    let patterns = maps.iter().map(|m| classify(m, &config.classify)).collect();
+    let legacy = LegacyState {
+        maps,
+        patterns,
+        quarantined: envelope.quarantined,
+        weeks: envelope.weeks,
+        last_date: envelope.last_date,
+        report: envelope.report,
+    };
+    store
+        .save(INCREMENTAL_STAGE, &fp, &legacy)
+        .expect("legacy save");
+    let payload = std::fs::read(store.payload_path(INCREMENTAL_STAGE)).expect("stage payload");
+    assert!(
+        String::from_utf8_lossy(&payload).contains("\"patterns\""),
+        "the rewritten stage is not in the old layout"
+    );
+
+    let mut resumed = IncrementalAnalyzer::resume(config, &store).expect("old layout resumes");
+    assert_eq!(resumed.weeks(), split as u32, "resume lost ingested weeks");
+    for week in &weeks[split..] {
+        resumed.ingest_week(week, &inputs);
+    }
+    assert_eq!(
+        report_json(resumed.report()),
+        batch,
+        "a stream resumed from an old-layout checkpoint diverged from the batch report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     // Each case builds a world and runs both paths — keep the case
     // count small; the matrix below still covers seeds × lengths ×
@@ -221,5 +337,37 @@ proptest! {
             seed, weeks, workers
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appended_maps_equal_maps_built_from_the_log(
+        seed in 0xAC0u64..0xAC5,
+        weeks in 3usize..40,
+    ) {
+        let (world, observations) = world_up_to_week(seed, weeks);
+        let view = RowsView(&observations);
+        let inputs = InputsBuilder::new(&world, &view).build();
+        let config = config_for(&world, 1);
+        let (log, appended) =
+            appended_log_and_maps(&config, &week_slices(&observations), &inputs);
+        prop_assert!(!appended.is_empty(), "world produced no maps");
+        let mut builder = builder_for(&config);
+        for workers in WORKER_COUNTS {
+            prop_assert!(
+                builder.build_store(&log, workers) == appended,
+                "maps rebuilt from the log diverged for seed={} weeks={} workers={}",
+                seed, weeks, workers
+            );
+        }
+        // Small worlds stay under the sharding threshold; force the
+        // range-sharded build as well.
+        builder.min_obs_per_worker = 0;
+        for workers in WORKER_COUNTS {
+            prop_assert!(
+                builder.build_store(&log, workers) == appended,
+                "sharded maps rebuilt from the log diverged for seed={} weeks={} workers={}",
+                seed, weeks, workers
+            );
+        }
     }
 }
