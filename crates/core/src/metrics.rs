@@ -313,6 +313,43 @@ impl MetricsRegistry {
         }
     }
 
+    /// Record one stage's point-in-time samples: wall time and item count
+    /// as `stage.<name>.*` gauges, the wall time into the shared
+    /// `stage.wall_ms` histogram, plus RSS (Linux) and the allocation
+    /// delta since `alloc0` (when [`CountingAlloc`] is installed).
+    pub fn stage_sample(
+        &mut self,
+        name: &str,
+        items: usize,
+        wall: std::time::Duration,
+        alloc0: u64,
+    ) {
+        let ms = wall.as_secs_f64() * 1e3;
+        self.gauge(&format!("stage.{name}.wall_ms"), ms);
+        self.gauge(&format!("stage.{name}.items"), items as f64);
+        self.observe("stage.wall_ms", ms);
+        if let Some(kb) = rss_kb_now() {
+            self.gauge(&format!("stage.{name}.rss_kb"), kb as f64);
+        }
+        if alloc_counting_active() {
+            let delta = allocated_bytes_total().saturating_sub(alloc0);
+            self.gauge(&format!("stage.{name}.alloc_bytes"), delta as f64);
+        }
+    }
+
+    /// Run `f` as stage `name` inside span `span`, and record it with
+    /// [`MetricsRegistry::stage_sample`]; `f` returns its item count
+    /// beside its result.
+    pub fn stage<T>(&mut self, name: &str, span: &str, f: impl FnOnce() -> (T, usize)) -> T {
+        let id = self.span_open(span);
+        let alloc0 = allocated_bytes_total();
+        let t = Instant::now();
+        let (out, items) = f();
+        self.stage_sample(name, items, t.elapsed(), alloc0);
+        self.span_close(id);
+        out
+    }
+
     /// Collect everything recorded so far into a serializable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

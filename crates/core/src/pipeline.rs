@@ -557,13 +557,7 @@ impl Pipeline {
                 quarantined,
             )
         };
-        stage_sample(
-            metrics,
-            "quarantine",
-            inputs.observations.len(),
-            t.elapsed(),
-            alloc0,
-        );
+        metrics.stage_sample("quarantine", inputs.observations.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
 
         // ---- stage 1: deployment maps ---------------------------------
@@ -611,7 +605,7 @@ impl Pipeline {
         timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept.len());
         metrics.merge(ckpt_shard);
         metrics.merge(stage_shard);
-        stage_sample(metrics, "map_build", kept.len(), t.elapsed(), alloc0);
+        metrics.stage_sample("map_build", kept.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
 
         // ---- stage 2: classify ----------------------------------------
@@ -631,7 +625,7 @@ impl Pipeline {
         timings.classify = StageTiming::from_elapsed(t.elapsed(), maps.len());
         metrics.merge(ckpt_shard);
         metrics.merge(stage_shard);
-        stage_sample(metrics, "classify", maps.len(), t.elapsed(), alloc0);
+        metrics.stage_sample("classify", maps.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
         // Maps whose classification panicked are quarantined, not
         // analyzed — and not silently dropped.
@@ -672,7 +666,7 @@ impl Pipeline {
         as2org.record(&mut src_shard);
         metrics.merge(src_shard);
         metrics.merge(ckpt_shard);
-        stage_sample(metrics, "shortlist", maps.len(), t.elapsed(), alloc0);
+        metrics.stage_sample("shortlist", maps.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
         apply_shortlist_funnel(&mut funnel, &shortlisted);
 
@@ -693,13 +687,7 @@ impl Pipeline {
         timings.inspect = StageTiming::from_elapsed(t.elapsed(), shortlisted.candidates.len());
         metrics.merge(ckpt_shard);
         metrics.merge(stage_shard);
-        stage_sample(
-            metrics,
-            "inspect",
-            shortlisted.candidates.len(),
-            t.elapsed(),
-            alloc0,
-        );
+        metrics.stage_sample("inspect", shortlisted.candidates.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
         let mut report = self.finish_report(inputs, funnel, inspected, metrics, &mut timings);
 
@@ -785,7 +773,7 @@ impl Pipeline {
         pdns_src.record(&mut src_shard);
         crtsh_src.record(&mut src_shard);
         metrics.merge(src_shard);
-        stage_sample(metrics, "pivot", hijacked.len(), t.elapsed(), alloc0);
+        metrics.stage_sample("pivot", hijacked.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
         hijacked.extend(pivoted.found);
         degraded.extend(pivoted.degraded);
@@ -955,30 +943,6 @@ fn drop_panicked(
         }
     }
     (kept_maps, kept_patterns, panicked)
-}
-
-/// Record one stage's point-in-time samples: wall time and item count as
-/// `stage.<name>.*` gauges, the wall time into the shared `stage.wall_ms`
-/// histogram, plus RSS (Linux) and the allocation delta since `alloc0`
-/// (when [`CountingAlloc`](crate::metrics::CountingAlloc) is installed).
-fn stage_sample(
-    metrics: &mut MetricsRegistry,
-    name: &str,
-    items: usize,
-    wall: std::time::Duration,
-    alloc0: u64,
-) {
-    let ms = wall.as_secs_f64() * 1e3;
-    metrics.gauge(&format!("stage.{name}.wall_ms"), ms);
-    metrics.gauge(&format!("stage.{name}.items"), items as f64);
-    metrics.observe("stage.wall_ms", ms);
-    if let Some(kb) = metrics::rss_kb_now() {
-        metrics.gauge(&format!("stage.{name}.rss_kb"), kb as f64);
-    }
-    if metrics::alloc_counting_active() {
-        let delta = metrics::allocated_bytes_total().saturating_sub(alloc0);
-        metrics.gauge(&format!("stage.{name}.alloc_bytes"), delta as f64);
-    }
 }
 
 /// Below this many maps per worker, classification runs serially:

@@ -143,44 +143,111 @@ pub fn annotate_dataset(
     out
 }
 
-/// Flatten scan records into per-registered-domain observations.
+/// Flatten scan records into per-registered-domain observations, sorted
+/// and deduplicated (ports collapse: one observation per domain, date,
+/// address and certificate).
+///
+/// The join runs on integer keys. Each certificate's registered domains
+/// are resolved once, to ids; the distinct names are ranked once, in
+/// `DomainName` order; rows are then sorted and deduplicated as plain
+/// tuples led by that rank, which orders them exactly as
+/// `DomainObservation`'s derived `Ord` would. Names are cloned only into
+/// the rows that survive deduplication.
 pub fn domain_observations(
     dataset: &ScanDataset,
     certs: &HashMap<CertId, Certificate>,
     asdb: &AsDatabase,
     trust: &TrustStore,
 ) -> Vec<DomainObservation> {
-    let mut out = Vec::new();
-    // Memoize per-cert registered domains and per-ip annotations.
-    let mut cert_domains: HashMap<CertId, (Vec<DomainName>, bool)> = HashMap::new();
-    let mut ip_ann: HashMap<Ipv4Addr, (Option<Asn>, Option<CountryCode>)> = HashMap::new();
+    type IpAnn = (Option<Asn>, Option<CountryCode>);
+    /// A certificate's domain ids (`cert_ids[start..end]`) and trust bit.
+    type CertDomains = (usize, usize, bool);
+    type Row = (
+        u32,
+        Day,
+        Ipv4Addr,
+        Option<Asn>,
+        Option<CountryCode>,
+        CertId,
+        bool,
+    );
+    // Distinct registered domains, by id.
+    let mut names: Vec<DomainName> = Vec::new();
+    let mut name_ids: HashMap<DomainName, u32> = HashMap::new();
+    let mut cert_ids: Vec<u32> = Vec::new();
+    let mut cert_memo: HashMap<CertId, CertDomains> = HashMap::new();
+    let mut ip_memo: HashMap<Ipv4Addr, IpAnn> = HashMap::new();
+    // Records arrive sorted by (date, ip, port), so consecutive records
+    // mostly repeat the previous certificate and address.
+    let mut last_cert: Option<(CertId, CertDomains)> = None;
+    let mut last_ip: Option<(Ipv4Addr, IpAnn)> = None;
+    let mut rows: Vec<Row> = Vec::with_capacity(dataset.len());
     for r in dataset.records() {
-        let (domains, trusted) = cert_domains
-            .entry(r.cert)
-            .or_insert_with(|| match certs.get(&r.cert) {
-                Some(c) => (c.registered_domains(), trust.is_browser_trusted(c.issuer)),
-                None => (Vec::new(), false),
-            })
-            .clone();
-        let (asn, country) = *ip_ann.entry(r.ip).or_insert_with(|| {
-            let a = asdb.annotate(r.ip);
-            (a.asn, a.country)
-        });
-        for domain in domains {
-            out.push(DomainObservation {
-                domain,
-                date: r.date,
-                ip: r.ip,
-                asn,
-                country,
-                cert: r.cert,
-                trusted,
-            });
+        let (start, end, trusted) = match last_cert {
+            Some((cert, memo)) if cert == r.cert => memo,
+            _ => {
+                let memo = *cert_memo.entry(r.cert).or_insert_with(|| {
+                    let start = cert_ids.len();
+                    let Some(c) = certs.get(&r.cert) else {
+                        return (start, start, false);
+                    };
+                    for domain in c.registered_domains() {
+                        let next = names.len() as u32;
+                        let id = *name_ids.entry(domain).or_insert_with_key(|d| {
+                            names.push(d.clone());
+                            next
+                        });
+                        cert_ids.push(id);
+                    }
+                    (start, cert_ids.len(), trust.is_browser_trusted(c.issuer))
+                });
+                last_cert = Some((r.cert, memo));
+                memo
+            }
+        };
+        if start == end {
+            continue;
+        }
+        let (asn, country) = match last_ip {
+            Some((ip, ann)) if ip == r.ip => ann,
+            _ => {
+                let ann = *ip_memo.entry(r.ip).or_insert_with(|| {
+                    let a = asdb.annotate(r.ip);
+                    (a.asn, a.country)
+                });
+                last_ip = Some((r.ip, ann));
+                ann
+            }
+        };
+        for &id in &cert_ids[start..end] {
+            rows.push((id, r.date, r.ip, asn, country, r.cert, trusted));
         }
     }
-    out.sort();
-    out.dedup();
-    out
+    // rank[id]: the position of names[id] in sorted order.
+    let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
+    by_name.sort_unstable_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
+    let mut rank = vec![0u32; names.len()];
+    for (pos, &id) in by_name.iter().enumerate() {
+        rank[id as usize] = pos as u32;
+    }
+    for row in &mut rows {
+        row.0 = rank[row.0 as usize];
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    rows.into_iter()
+        .map(
+            |(r, date, ip, asn, country, cert, trusted)| DomainObservation {
+                domain: names[by_name[r as usize] as usize].clone(),
+                date,
+                ip,
+                asn,
+                country,
+                cert,
+                trusted,
+            },
+        )
+        .collect()
 }
 
 /// Render Table-1 style output for the rows securing one registered
@@ -390,6 +457,108 @@ mod tests {
         let other: Vec<_> = obs.iter().filter(|o| o.domain == d("other.com")).collect();
         assert_eq!(other.len(), 1);
         assert!(!other[0].trusted);
+    }
+
+    /// The straightforward join `domain_observations` must reproduce:
+    /// one `DomainObservation` per (record, registered domain), then a
+    /// full sort and dedup.
+    fn reference_observations(
+        dataset: &ScanDataset,
+        certs: &HashMap<CertId, Certificate>,
+        asdb: &AsDatabase,
+        trust: &TrustStore,
+    ) -> Vec<DomainObservation> {
+        let mut out = Vec::new();
+        for r in dataset.records() {
+            let (domains, trusted) = match certs.get(&r.cert) {
+                Some(c) => (c.registered_domains(), trust.is_browser_trusted(c.issuer)),
+                None => (Vec::new(), false),
+            };
+            let a = asdb.annotate(r.ip);
+            for domain in domains {
+                out.push(DomainObservation {
+                    domain,
+                    date: r.date,
+                    ip: r.ip,
+                    asn: a.asn,
+                    country: a.country,
+                    cert: r.cert,
+                    trusted,
+                });
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// SANs drawn from: plain and sensitive names, names sharing a
+    /// registered domain, multi-label public suffixes and wildcards
+    /// (one whose parent is a public suffix, so it secures no domain).
+    const SANS: &[&str] = &[
+        "mail.kyvernisi.gr",
+        "www.kyvernisi.gr",
+        "kyvernisi.gr",
+        "*.kyvernisi.gr",
+        "vpn.mfa.gov.kg",
+        "*.mfa.gov.kg",
+        "*.gov.kg",
+        "www.other.com",
+        "a.b.c.example.co.uk",
+        "zeta.org",
+    ];
+    /// Two routed, geolocated prefixes (see `fixture`) and unrouted space.
+    const IPS: &[&str] = &[
+        "84.205.248.69",
+        "84.205.248.70",
+        "95.179.131.225",
+        "1.2.3.4",
+        "9.9.9.9",
+    ];
+    const PORTS: &[u16] = &[443, 993, 995];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn observations_match_the_reference_join(
+            cert_sans in proptest::collection::vec(
+                proptest::collection::vec(0..SANS.len(), 1..4),
+                1..6,
+            ),
+            recs in proptest::collection::vec(
+                (0u32..5, 0..IPS.len(), 0..PORTS.len(), 0u64..7),
+                0..80,
+            ),
+        ) {
+            let (_, _, asdb, trust) = fixture();
+            let certs: HashMap<CertId, Certificate> = cert_sans
+                .iter()
+                .enumerate()
+                .map(|(i, sans)| {
+                    let id = CertId(i as u64);
+                    let names = sans.iter().map(|&s| d(SANS[s])).collect();
+                    // Alternate public (trusted) and internal issuers.
+                    let issuer = CaId(if i % 2 == 0 { 1 } else { 3 });
+                    (id, Certificate::new(id, names, issuer, Day(0), 90, KeyId(i as u64)))
+                })
+                .collect();
+            // Cert ids past the pool are unknown to `certs`.
+            let ds = ScanDataset::from_records(
+                recs.iter()
+                    .map(|&(week, ip, port, cert)| ScanRecord {
+                        date: Day(week * 7),
+                        ip: IPS[ip].parse().unwrap(),
+                        port: PORTS[port],
+                        cert: CertId(cert),
+                    })
+                    .collect(),
+            );
+            proptest::prop_assert_eq!(
+                domain_observations(&ds, &certs, &asdb, &trust),
+                reference_observations(&ds, &certs, &asdb, &trust)
+            );
+        }
     }
 
     #[test]

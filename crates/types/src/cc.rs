@@ -20,7 +20,7 @@ use std::str::FromStr;
 /// assert_eq!(nl.to_string(), "NL");
 /// assert_eq!(nl, CountryCode::new(*b"NL"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct CountryCode([u8; 2]);
 
 impl CountryCode {
@@ -37,6 +37,20 @@ impl CountryCode {
     /// The code as a `&str` (always two uppercase ASCII letters).
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.0).expect("invariant: ASCII")
+    }
+}
+
+/// Decoding applies the letter check of [`CountryCode::new`] (and its
+/// uppercasing) to the two bytes as written, so a decoded code always
+/// renders.
+impl Deserialize for CountryCode {
+    fn deserialize(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let code = <[u8; 2]>::deserialize(r)?;
+        if !code.iter().all(u8::is_ascii_alphabetic) {
+            let err = ParseError::InvalidCountryCode(format!("{code:?}"));
+            return Err(serde::Error::custom(err.to_string()));
+        }
+        Ok(CountryCode::new(code))
     }
 }
 

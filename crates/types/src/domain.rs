@@ -48,7 +48,7 @@ const MULTI_LABEL_SUFFIXES: &[&str] = &[
 /// assert_eq!(d.registered_domain().as_str(), "mfa.gov.kg");
 /// assert!(d.is_sensitive());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct DomainName(String);
 
 impl DomainName {
@@ -56,14 +56,8 @@ impl DomainName {
     pub fn new(name: &str) -> Result<DomainName, ParseError> {
         let trimmed = name.strip_suffix('.').unwrap_or(name);
         let lower = trimmed.to_ascii_lowercase();
-        if lower.is_empty() || lower.len() > 253 {
+        if !is_canonical(&lower) {
             return Err(ParseError::InvalidDomain(name.to_string()));
-        }
-        for (i, label) in lower.split('.').enumerate() {
-            let ok_wildcard = i == 0 && label == "*";
-            if !ok_wildcard && !valid_label(label) {
-                return Err(ParseError::InvalidDomain(name.to_string()));
-            }
         }
         Ok(DomainName(lower))
     }
@@ -221,6 +215,30 @@ impl FromStr for DomainName {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         DomainName::new(s)
+    }
+}
+
+/// Does `name` already satisfy every [`DomainName`] invariant, in the
+/// canonical form (lowercase, no trailing dot)?
+fn is_canonical(name: &str) -> bool {
+    !name.is_empty()
+        && name.len() <= 253
+        && name
+            .split('.')
+            .enumerate()
+            .all(|(i, label)| (i == 0 && label == "*") || valid_label(label))
+}
+
+/// Decoding validates like [`DomainName::new`]: data directories and
+/// request bodies come from outside the program. A name already in
+/// canonical form (the form this type writes) is kept as read.
+impl Deserialize for DomainName {
+    fn deserialize(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        let name = r.string()?;
+        if is_canonical(&name) {
+            return Ok(DomainName(name));
+        }
+        DomainName::new(&name).map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 

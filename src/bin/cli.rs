@@ -163,7 +163,15 @@ fn analyze(
     metrics_opts: MetricsOpts,
     source_opts: SourceOpts,
 ) -> Result<(), String> {
-    let LoadedData { data, meta } = load_data(dir)?;
+    // Loading and annotating are stages of the run like the pipeline's
+    // own: spans and `stage.*` gauges in the same registry.
+    let mut metrics = MetricsRegistry::with_trace(metrics_opts.trace);
+    let loaded = metrics.stage("load", "data.load", || {
+        let loaded = load_data(dir);
+        let records = loaded.as_ref().map_or(0, |l| l.data.dataset.len());
+        (loaded, records)
+    });
+    let LoadedData { data, meta } = loaded?;
     eprintln!(
         "loaded: {} scan records, {} certs, {} pDNS tuples, {} CT records",
         data.dataset.len(),
@@ -171,7 +179,11 @@ fn analyze(
         data.pdns.len(),
         data.crtsh.len()
     );
-    let observations = data.observations();
+    let observations = metrics.stage("annotate", "scan.annotate", || {
+        let observations = data.observations();
+        let n = observations.len();
+        (observations, n)
+    });
     let pipeline = Pipeline::new(PipelineConfig {
         workers: 4,
         inspect: InspectConfig {
@@ -193,7 +205,6 @@ fn analyze(
         ),
         None => None,
     };
-    let mut metrics = MetricsRegistry::with_trace(metrics_opts.trace);
     let report = if stream {
         stream_analyze(
             &pipeline,

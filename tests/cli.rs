@@ -340,6 +340,14 @@ fn analyze_metrics_out_and_trace() {
         "no trace close: {stderr}"
     );
     assert!(stderr.contains("-> stage.inspect"), "{stderr}");
+    // Loading and annotation are traced too, ahead of the pipeline.
+    let at = |span: &str| {
+        stderr
+            .find(span)
+            .unwrap_or_else(|| panic!("no {span}: {stderr}"))
+    };
+    assert!(at("-> data.load") < at("-> scan.annotate"));
+    assert!(at("<- scan.annotate") < at("-> pipeline.run"));
 
     let json = std::fs::read_to_string(&metrics_json).expect("metrics json");
     let v: serde::Value = serde::json::from_str(&json).expect("valid metrics JSON");
@@ -362,6 +370,18 @@ fn analyze_metrics_out_and_trace() {
         gauges.iter().any(|(k, _)| k.ends_with(".alloc_bytes")),
         "no allocation gauges in {json}"
     );
+    for stage in ["load", "annotate"] {
+        for gauge in ["wall_ms", "items"] {
+            let key = format!("stage.{stage}.{gauge}");
+            assert!(
+                matches!(
+                    v.get("gauges").and_then(|g| g.get(&key)),
+                    Some(serde::Value::Num(_))
+                ),
+                "no {key} in {json}"
+            );
+        }
+    }
 
     // Prometheus exposition.
     let metrics_prom = base.join("metrics.prom");
